@@ -106,11 +106,7 @@ def leaf_pmpte_get(pmpte: int, page_index: int) -> Permission:
 
 def leaf_pmpte_uniform(perm: Permission) -> int:
     """A leaf pmpte granting *perm* to all 16 pages."""
-    nibble = perm.bits
-    value = 0
-    for i in range(PAGES_PER_LEAF_PTE):
-        value |= nibble << (i * 4)
-    return value
+    return perm.bits * 0x1111_1111_1111_1111
 
 
 def split_offset(offset: int) -> Tuple[int, int, int]:
@@ -255,9 +251,7 @@ class PMPTable:
             if not create:
                 return None
             leaf = self._new_table_page()
-            uniform = leaf_pmpte_uniform(root_pmpte_perm(root))
-            for i in range(ENTRIES_PER_TABLE):
-                self.memory.write64(leaf + i * 8, uniform)
+            self.memory.fill(leaf, PAGE_SIZE, leaf_pmpte_uniform(root_pmpte_perm(root)))
             self.entry_writes += ENTRIES_PER_TABLE
             self._write(root_addr, root_pmpte_pointer(leaf))
             return leaf
@@ -288,7 +282,9 @@ class PMPTable:
         Figure 14-d optimization; disable with ``huge_ok=False`` to force
         page-granular leaf tables, as a system whose domains interleave at
         page granularity would have) and whole-leaf-pmpte writes for 64 KiB
-        aligned spans; falls back to per-page nibble updates at the edges.
+        aligned spans, one bulk write per leaf table; falls back to per-page
+        nibble updates at the edges.  The return value and ``entry_writes``
+        count every pmpte written, however many calls store them.
         """
         if base % PAGE_SIZE or size % PAGE_SIZE:
             raise ConfigurationError("set_range arguments must be page aligned")
@@ -297,10 +293,11 @@ class PMPTable:
         if not self.region.contains(base, size):
             raise ConfigurationError(f"range [{base:#x},+{size:#x}) outside {self.region}")
         writes_before = self.entry_writes
+        uniform = leaf_pmpte_uniform(perm)
         addr = base
         end = base + size
         while addr < end:
-            offset = self._offset(addr)
+            offset = addr - self.region.base
             if (
                 huge_ok
                 and self.mode != MODE_FLAT
@@ -322,6 +319,11 @@ class PMPTable:
                 addr += LEAF_TABLE_SPAN
                 continue
             if offset % LEAF_PTE_SPAN == 0 and addr + LEAF_PTE_SPAN <= end:
+                # One run: the whole leaf pmptes up to the range end or the
+                # leaf-table boundary, whichever comes first, so the huge
+                # check above still sees every 32 MiB edge.
+                run_end = min(end, addr + LEAF_TABLE_SPAN - offset % LEAF_TABLE_SPAN)
+                count = (run_end - addr) // LEAF_PTE_SPAN
                 if self.mode == MODE_FLAT:
                     pte_addr = self.root_pa + (offset // LEAF_PTE_SPAN) * 8
                 else:
@@ -329,8 +331,9 @@ class PMPTable:
                     assert leaf is not None
                     _o1, off0, _pi = split_offset(offset)
                     pte_addr = leaf + off0 * 8
-                self._write(pte_addr, leaf_pmpte_uniform(perm))
-                addr += LEAF_PTE_SPAN
+                self.memory.fill(pte_addr, count * 8, uniform)
+                self.entry_writes += count
+                addr += count * LEAF_PTE_SPAN
                 continue
             self.set_page_perm(addr, perm)
             addr += PAGE_SIZE

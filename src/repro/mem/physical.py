@@ -8,6 +8,8 @@ hierarchy (:mod:`repro.mem.hierarchy`) models only timing and occupancy.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from typing import Dict
 
 from ..common.errors import AlignmentError, MemoryError_
@@ -60,20 +62,28 @@ class PhysicalMemory:
         self._words[paddr] = value & 0xFFFF_FFFF_FFFF_FFFF
 
     def fill(self, paddr: int, length: int, value64: int = 0) -> None:
-        """Set every word in ``[paddr, paddr+length)`` to *value64*."""
-        self._check(paddr, WORD_BYTES)
+        """Set every word in ``[paddr, paddr+length)`` to *value64*.
+
+        The whole span is checked before any word is stored.  Zero words
+        are dropped from the sparse map rather than stored.
+        """
+        if paddr % WORD_BYTES != 0:
+            raise AlignmentError(f"unaligned fill at {paddr:#x}")
         if length % WORD_BYTES != 0:
             raise AlignmentError(f"fill length {length} not word-aligned")
-        if value64 == 0:
-            for addr in range(paddr, paddr + length, WORD_BYTES):
-                self._words.pop(addr, None)
+        if not self.region.contains(paddr, max(length, WORD_BYTES)):
+            raise MemoryError_(f"fill [{paddr:#x},+{length:#x}) outside DRAM {self.region}")
+        addrs = range(paddr, paddr + length, WORD_BYTES)
+        value64 &= 0xFFFF_FFFF_FFFF_FFFF
+        if value64:
+            self._words.update(dict.fromkeys(addrs, value64))
         else:
-            for addr in range(paddr, paddr + length, WORD_BYTES):
-                self._words[addr] = value64 & 0xFFFF_FFFF_FFFF_FFFF
+            deque(map(self._words.pop, addrs, repeat(None)), maxlen=0)
 
     def touched_words(self) -> int:
-        """Number of words that have ever been written non-zero."""
-        return len(self._words)
+        """Number of words currently holding a non-zero value."""
+        words = self._words
+        return len(words) - list(words.values()).count(0)
 
     def contains(self, paddr: int, length: int = 1) -> bool:
         """Return True if the byte range lies inside DRAM."""

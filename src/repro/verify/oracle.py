@@ -6,10 +6,11 @@ and table mutations.  The models deliberately share no code with the
 structures they check:
 
 * :class:`ShadowPermissionOracle` — a flat page → :class:`Permission` map.
-* :class:`TableWriteModel` — replays :meth:`PMPTable.set_range`'s chunking
-  as a per-slot state machine (invalid / huge / leaf) to predict the exact
-  number of 64-bit pmpte writes and the exact table-page footprint without
-  ever reading the real table.
+* :class:`TableWriteModel` — an independent per-64 KiB reference for
+  :meth:`PMPTable.set_range`'s write counts: a per-slot state machine
+  (invalid / huge / leaf) stepping one leaf pmpte at a time to predict the
+  exact number of 64-bit pmpte writes and the exact table-page footprint
+  without ever reading the real table.
 * :class:`MonitorOracle` — a :class:`~repro.tee.monitor.SecureMonitor`
   observer that keeps one oracle view and one write model per domain and
   flags any divergence in ``entry_writes`` deltas.
@@ -109,10 +110,14 @@ class TableWriteModel:
         self._slots[slot] = "leaf"
         return writes
 
-    # -- prediction (mirrors PMPTable.set_range chunking exactly) ------------
+    # -- prediction (one step per 64 KiB leaf pmpte) -------------------------
 
     def set_range(self, base: int, size: int, perm: Permission, huge_ok: bool = True) -> int:
-        """Predict the pmpte writes of the equivalent real ``set_range``."""
+        """Predict the pmpte writes of the equivalent real ``set_range``.
+
+        Steps one leaf pmpte at a time rather than in the table's bulk runs,
+        so it checks the run arithmetic instead of sharing it.
+        """
         writes = 0
         clearing = perm == Permission.none()
         addr = base

@@ -225,3 +225,172 @@ class TestPMPTable:
         pa = region.base + page_index * PAGE_SIZE
         table.set_page_perm(pa, perm)
         assert table.lookup(pa).perm == perm
+
+
+def _uniform_by_nibbles(perm):
+    """The nibble-by-nibble uniform leaf pmpte (independent of the closed form)."""
+    value = 0
+    for i in range(PAGES_PER_LEAF_PTE):
+        value |= perm.bits << (i * 4)
+    return value
+
+
+class _PerPmpteTable(PMPTable):
+    """Reference: ``set_range`` writing one leaf pmpte per call to ``write64``.
+
+    This is the write loop the bulk run path replaced, kept here as the
+    differential reference: every 64 KiB pmpte re-resolves its leaf table,
+    and a shattered huge pmpte is expanded word by word.
+    """
+
+    def _leaf_table_for(self, offset, create):
+        root_table = self._root_table_for(offset, create)
+        if root_table is None:
+            return None
+        off1, _off0, _pidx = split_offset(offset)
+        root_addr = root_table + off1 * 8
+        root = self.memory.read64(root_addr)
+        if not root_pmpte_is_valid(root):
+            if not create:
+                return None
+            leaf = self._new_table_page()
+            self._write(root_addr, root_pmpte_pointer(leaf))
+            return leaf
+        if root_pmpte_is_huge(root):
+            if not create:
+                return None
+            leaf = self._new_table_page()
+            uniform = _uniform_by_nibbles(root_pmpte_perm(root))
+            for i in range(ENTRIES_PER_TABLE):
+                self.memory.write64(leaf + i * 8, uniform)
+            self.entry_writes += ENTRIES_PER_TABLE
+            self._write(root_addr, root_pmpte_pointer(leaf))
+            return leaf
+        return root_pmpte_leaf_pa(root)
+
+    def set_range(self, base, size, perm, huge_ok=True):
+        if base % PAGE_SIZE or size % PAGE_SIZE:
+            raise ConfigurationError("set_range arguments must be page aligned")
+        if size == 0:
+            return 0
+        if not self.region.contains(base, size):
+            raise ConfigurationError(f"range [{base:#x},+{size:#x}) outside {self.region}")
+        writes_before = self.entry_writes
+        addr = base
+        end = base + size
+        while addr < end:
+            offset = self._offset(addr)
+            if (
+                huge_ok
+                and self.mode != MODE_FLAT
+                and offset % LEAF_TABLE_SPAN == 0
+                and addr + LEAF_TABLE_SPAN <= end
+            ):
+                root_table = self._root_table_for(offset, create=True)
+                off1, _o0, _pi = split_offset(offset)
+                root_addr = root_table + off1 * 8
+                old = self.memory.read64(root_addr)
+                new = root_pmpte_huge(perm) if perm != Permission.none() else 0
+                self._write(root_addr, new)
+                if root_pmpte_is_valid(old) and not root_pmpte_is_huge(old):
+                    self._release_table_page(root_pmpte_leaf_pa(old))
+                addr += LEAF_TABLE_SPAN
+                continue
+            if offset % LEAF_PTE_SPAN == 0 and addr + LEAF_PTE_SPAN <= end:
+                if self.mode == MODE_FLAT:
+                    pte_addr = self.root_pa + (offset // LEAF_PTE_SPAN) * 8
+                else:
+                    leaf = self._leaf_table_for(offset, create=True)
+                    assert leaf is not None
+                    _o1, off0, _pi = split_offset(offset)
+                    pte_addr = leaf + off0 * 8
+                self._write(pte_addr, _uniform_by_nibbles(perm))
+                addr += LEAF_PTE_SPAN
+                continue
+            self.set_page_perm(addr, perm)
+            addr += PAGE_SIZE
+        return self.entry_writes - writes_before
+
+
+#: The differential test's activity window: three leaf tables' worth.
+_WINDOW = 3 * LEAF_TABLE_SPAN
+#: A page-aligned but not 64 KiB-aligned region base, so table offsets and
+#: physical addresses disagree on every alignment the write path tests.
+_REGION_BASE = 0x10_0000_0000 + 5 * PAGE_SIZE
+
+_differential_op = st.tuples(
+    st.sampled_from(("set_range", "clear_range", "set_page_perm")),
+    st.sampled_from((PAGE_SIZE, LEAF_PTE_SPAN, LEAF_TABLE_SPAN)),  # base alignment
+    st.integers(0, _WINDOW // PAGE_SIZE),  # base index, wrapped into the window
+    st.one_of(
+        st.integers(1, 48).map(lambda pages: pages * PAGE_SIZE),
+        st.sampled_from((LEAF_PTE_SPAN, LEAF_TABLE_SPAN, 2 * LEAF_TABLE_SPAN)),
+        st.integers(1, 2 * LEAF_TABLE_SPAN // PAGE_SIZE).map(lambda pages: pages * PAGE_SIZE),
+    ),
+    st.integers(0, 7),  # permission bits
+    st.booleans(),  # huge_ok
+)
+
+
+def _differential_tables(mode):
+    """(bulk table, reference table, window base) over identical fresh memories."""
+    if mode == MODE_3LEVEL:
+        # The window straddles the first top-level boundary (16 GiB).
+        region = MemRegion(_REGION_BASE, ROOT_TABLE_SPAN + 2 * LEAF_TABLE_SPAN)
+        window = region.base + ROOT_TABLE_SPAN - LEAF_TABLE_SPAN
+    else:
+        region = MemRegion(_REGION_BASE, _WINDOW)
+        window = region.base
+    tables = []
+    for cls in (PMPTable, _PerPmpteTable):
+        mem = PhysicalMemory(8 * MIB, base=BASE)
+        tables.append(cls(mem, FrameAllocator(mem.region), region, mode=mode))
+    return tables[0], tables[1], window
+
+
+def _assert_tables_equal(table, ref, probes):
+    assert table.entry_writes == ref.entry_writes
+    assert table.table_pages == ref.table_pages
+    for page in table.table_pages:
+        for addr in range(page, page + PAGE_SIZE, 8):
+            assert table.memory.read64(addr) == ref.memory.read64(addr), hex(addr)
+    for paddr in probes:
+        assert table.lookup(paddr) == ref.lookup(paddr), hex(paddr)
+
+
+class TestBulkWriteDifferential:
+    """Bulk run writes match the per-pmpte reference call by call and word by word."""
+
+    @pytest.mark.parametrize(
+        "mode", [MODE_2LEVEL, MODE_3LEVEL, MODE_FLAT], ids=["2level", "3level", "flat"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(_differential_op, min_size=1, max_size=10))
+    def test_matches_per_pmpte_reference(self, mode, ops):
+        table, ref, window = _differential_tables(mode)
+        window_end = window + _WINDOW
+        grid = list(range(window, window_end, MIB + 3 * PAGE_SIZE))
+        # Start from a huge pmpte in the middle leaf table, so finer writes
+        # there shatter it and aligned clears reclaim the leaf they leave.
+        middle = window + LEAF_TABLE_SPAN
+        assert table.set_range(middle, LEAF_TABLE_SPAN, Permission.rx()) == ref.set_range(
+            middle, LEAF_TABLE_SPAN, Permission.rx()
+        )
+        for kind, align, index, size, bits, huge_ok in ops:
+            base = window + (index * align) % _WINDOW
+            base -= (base - window) % align
+            size = min(size, window_end - base)
+            perm = Permission.from_bits(bits)
+            if kind == "set_range":
+                assert table.set_range(base, size, perm, huge_ok) == ref.set_range(
+                    base, size, perm, huge_ok
+                )
+            elif kind == "clear_range":
+                assert table.clear_range(base, size) == ref.clear_range(base, size)
+            else:
+                size = PAGE_SIZE
+                table.set_page_perm(base, perm)
+                ref.set_page_perm(base, perm)
+            edges = [base, base + size - PAGE_SIZE]
+            edges += [pa for pa in (base - PAGE_SIZE, base + size) if window <= pa < window_end]
+            _assert_tables_equal(table, ref, edges + grid)

@@ -56,6 +56,38 @@ class TestPhysicalMemory:
         mem.fill(BASE, 64, 0xAA)
         assert all(mem.read64(BASE + i) == 0xAA for i in range(0, 64, 8))
 
+    def test_fill_past_end_rejected_before_any_write(self):
+        mem = PhysicalMemory(1 * MIB, base=BASE)
+        with pytest.raises(MemoryError_):
+            mem.fill(mem.region.end - 8, PAGE_SIZE, 7)
+        with pytest.raises(MemoryError_):
+            mem.fill(BASE - 8, 16, 7)
+        assert mem.touched_words() == 0
+        assert mem.read64(mem.region.end - 8) == 0
+
+    def test_fill_unaligned_rejected(self):
+        mem = PhysicalMemory(1 * MIB, base=BASE)
+        with pytest.raises(AlignmentError):
+            mem.fill(BASE + 4, 64, 7)
+        with pytest.raises(AlignmentError):
+            mem.fill(BASE, 12, 7)
+
+    def test_fill_value_truncated_to_64_bits(self):
+        mem = PhysicalMemory(1 * MIB, base=BASE)
+        mem.fill(BASE, 16, 1 << 64 | 3)
+        assert mem.read64(BASE + 8) == 3
+        mem.fill(BASE, 16, 1 << 64)
+        assert mem.read64(BASE) == 0
+        assert mem.touched_words() == 0
+
+    def test_touched_words_counts_non_zero_only(self):
+        mem = PhysicalMemory(1 * MIB, base=BASE)
+        mem.write64(BASE, 5)
+        mem.write64(BASE + 8, 6)
+        mem.write64(BASE, 0)
+        assert mem.read64(BASE) == 0
+        assert mem.touched_words() == 1
+
     def test_bad_size_rejected(self):
         with pytest.raises(MemoryError_):
             PhysicalMemory(0)
