@@ -4,8 +4,8 @@ Block execution (:mod:`repro.engine.block`) collapsed N references to
 counter arithmetic, but still crosses the Python interpreter once per
 :class:`AccessBlock` run.  A :class:`SpanProgram` keeps whole *sequences*
 of runs in columnar form — parallel VA / stride / count / access-type
-arrays — and :func:`evaluate_machine` / :func:`evaluate_vm` price entire
-programs in a handful of numpy calls:
+arrays — and :func:`evaluate_machine` prices entire programs on a hart in
+a handful of numpy calls:
 
 1. **Decompose** every span into page-bounded chunks, in program order,
    entirely in-array (segmented ``arange`` over per-span chunk counts).
@@ -19,9 +19,9 @@ programs in a handful of numpy calls:
 3. **Charge** each maximal invariant prefix as array reductions — cycle
    and stat totals are linear in the hit regime — and **replay** every
    non-invariant chunk (TLB miss, missing/denying inlined permission,
-   non-MRU line, negative stride) through :meth:`Hart.access_run`, so the
-   scalar core remains the single source of truth for every regime edge,
-   exactly as block mode falls back today.
+   non-MRU line, negative stride) through the block path's own span loop
+   (:meth:`Hart._run_spans`), so the scalar core remains the single
+   source of truth for every regime edge.
 
 Snapshots are only valid while the underlying state stands still, which
 is what the ``generation`` counters on :class:`~repro.paging.tlb.TLB` and
@@ -31,9 +31,15 @@ evaluator re-derives its mask whenever a replayed edge moved a counter.
 Invariant chunks themselves never mutate residency or MRU state (MRU
 hits re-touch ``cset[0]``; ``move_to_end`` changes recency only), so one
 mask covers an arbitrarily long invariant prefix.  If edges churn the
-generations too often the evaluator stops re-masking and replays the
-remainder span-by-span — worst case it degenerates to exactly the block
-path it replaces, never worse.
+generations too often the evaluator stops re-masking and hands the rest
+of the program to the same span loop.
+
+The replay makes exactly the calls block mode makes — whole spans through
+:meth:`Hart._run_spans` (singletons straight to the scalar core), the
+remainder of a partly charged span through ``access_run``'s fused loop —
+and reads its span columns from Python lists, never numpy scalars.  So a
+program that is all regime edges costs the block path plus the mask
+sweeps (at most ``_MAX_MASK_ROUNDS``), never more calls than block mode.
 
 numpy is optional (the ``repro[fast]`` extra): without it, or with
 :func:`set_vector_mode` off, ``--no-vector``, or
@@ -45,6 +51,7 @@ digest-identical differentially.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Tuple
 
 from ..common.types import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, AccessType
@@ -70,9 +77,13 @@ MIN_VECTOR_REFS = 1024
 #: edge-dominated program would otherwise pay a numpy sweep per edge.
 _MAX_MASK_ROUNDS = 16
 
-_READ_CODE, _WRITE_CODE, _FETCH_CODE = 0, 1, 2
-_ACCESS_CODE = {AccessType.READ: _READ_CODE, AccessType.WRITE: _WRITE_CODE, AccessType.FETCH: _FETCH_CODE}
+#: An access type's code is its index here.
 _ACCESS_BY_CODE = (AccessType.READ, AccessType.WRITE, AccessType.FETCH)
+_FETCH_CODE = 2
+#: Access code by the member's value string.  ``Enum.__hash__`` is Python
+#: code, so keying on the members themselves costs a call per span.
+_CODE_BY_VALUE = {a._value_: code for code, a in enumerate(_ACCESS_BY_CODE)}
+_member_value = operator.attrgetter("_value_")
 
 
 def set_vector_mode(enabled: bool) -> None:
@@ -157,23 +168,25 @@ class _Chunks:
 
 
 def _program_columns(program):
-    """Lift a SpanProgram / AccessBlock into (va, stride, count, acc) arrays."""
-    if isinstance(program, SpanProgram):
-        va, stride, count, access = program._va, program._stride, program._count, program._access
-    else:
-        runs = program.runs
-        va = [r[0] for r in runs]
-        stride = [r[1] for r in runs]
-        count = [r[2] for r in runs]
-        access = [r[3] for r in runs]
-    if not va:
+    """A SpanProgram / AccessBlock as (va, stride, count, access) lists and arrays.
+
+    Returns ``None`` for an empty program, else ``(lists, arrays)``: the
+    Python lists the replay indexes (a SpanProgram's own columns) and the
+    int64/int8 arrays the mask and the bulk charge compute on.
+    """
+    if not program.count:
         return None
-    code = _ACCESS_CODE
-    return (
+    if isinstance(program, SpanProgram):
+        lists = (program._va, program._stride, program._count, program._access)
+    else:
+        lists = tuple(map(list, zip(*program.runs)))
+    va, stride, count, access = lists
+    codes = map(_CODE_BY_VALUE.__getitem__, map(_member_value, access))
+    return lists, (
         _np.asarray(va, dtype=_np.int64),
         _np.asarray(stride, dtype=_np.int64),
         _np.asarray(count, dtype=_np.int64),
-        _np.fromiter((code[a] for a in access), dtype=_np.int8, count=len(access)),
+        _np.fromiter(codes, dtype=_np.int8, count=len(access)),
     )
 
 
@@ -276,17 +289,16 @@ def _decompose(s_va, s_stride, s_count, s_acc) -> _Chunks:
 # ---------------------------------------------------------------------------
 
 
-def _tlb_snapshot(tlb, asid: int, inlined_only: bool):
+def _tlb_snapshot(tlb, asid: int):
     """(sorted VPNs, aligned PPNs, (3, n) allow-bits) for the L1-resident set.
 
     Cached on the TLB keyed by its generation counter, so consecutive
-    programs in steady state pay a dict probe, not a rebuild.  With
-    ``inlined_only`` the allow bits fold the page permission AND the
-    inlined checker permission per access type — exactly the test the
-    machine's fused fast path applies; without it (the VM's combined TLB,
-    whose hit path checks nothing) presence alone allows.
+    programs in steady state pay a dict probe, not a rebuild.  Only
+    entries with an inlined checker permission are listed, and the allow
+    bits fold the page permission AND that inlined permission per access
+    type — exactly the test the machine's fused fast path applies.
     """
-    key = (tlb.generation, asid, inlined_only)
+    key = (tlb.generation, asid)
     cached = getattr(tlb, "_vector_snapshot", None)
     if cached is not None and cached[0] == key:
         return cached[1]
@@ -295,24 +307,20 @@ def _tlb_snapshot(tlb, asid: int, inlined_only: bool):
     ok_r: List[bool] = []
     ok_w: List[bool] = []
     ok_x: List[bool] = []
-    for vpn, entry in tlb.l1_residency(asid, inlined_only):
+    for vpn, entry in tlb.l1_residency(asid):
         vpns.append(vpn)
         ppns.append(entry.ppn)
-        if inlined_only:
-            perm = entry.perm
-            checker_perm = entry.checker_perm
-            ok_r.append(perm.r and checker_perm.r)
-            ok_w.append(perm.w and checker_perm.w)
-            ok_x.append(perm.x and checker_perm.x)
+        perm = entry.perm
+        checker_perm = entry.checker_perm
+        ok_r.append(perm.r and checker_perm.r)
+        ok_w.append(perm.w and checker_perm.w)
+        ok_x.append(perm.x and checker_perm.x)
     if vpns:
         v = _np.asarray(vpns, dtype=_np.int64)
         order = _np.argsort(v, kind="stable")
         v = v[order]
         p = _np.asarray(ppns, dtype=_np.int64)[order]
-        if inlined_only:
-            ok = _np.asarray([ok_r, ok_w, ok_x], dtype=bool)[:, order]
-        else:
-            ok = _np.ones((3, v.size), dtype=bool)
+        ok = _np.asarray([ok_r, ok_w, ok_x], dtype=bool)[:, order]
         snap = (v, p, ok)
     else:
         snap = (
@@ -340,15 +348,15 @@ def _mru_snapshot(cache):
 # ---------------------------------------------------------------------------
 
 
-def _invariant_mask(c: _Chunks, lo: int, snap, mru_d, mru_i, shift_d, mask_d, shift_i, mask_i, data_only: bool):
+def _invariant_mask(c: _Chunks, lo: int, snap, mru_d, mru_i, shift_d, mask_d, shift_i, mask_i):
     """Per-chunk "fused path applies" mask over ``chunks[lo:]``.
 
     True exactly when the block machinery would price every reference of
-    the chunk as an L1-TLB hit (with an allowing inlined permission, when
-    ``data_only`` is False) landing on the line currently at MRU in its
-    set.  Conservative by construction: anything the snapshot cannot
-    prove stays False and is replayed through the scalar-capable path, so
-    a stale-looking False costs time, never correctness.
+    the chunk as an L1-TLB hit with an allowing inlined permission,
+    landing on the line currently at MRU in its set.  Conservative by
+    construction: anything the snapshot cannot prove stays False and is
+    replayed through the scalar-capable path, so a stale-looking False
+    costs time, never correctness.
     """
     va = c.va[lo:]
     stride = c.stride[lo:]
@@ -376,14 +384,9 @@ def _invariant_mask(c: _Chunks, lo: int, snap, mru_d, mru_i, shift_d, mask_d, sh
     pa = (ppn_tab[idx[sel]] << PAGE_SHIFT) | (va[sel] & PAGE_MASK)
     st = stride[sel]
     n = count[sel]
-    if data_only:
-        fetch = _np.zeros(sel.size, dtype=bool)
-        line_bytes = _np.full(sel.size, 1 << shift_d, dtype=_np.int64)
-        shift = _np.full(sel.size, shift_d, dtype=_np.int64)
-    else:
-        fetch = acc[sel] == _FETCH_CODE
-        line_bytes = _np.where(fetch, 1 << shift_i, 1 << shift_d)
-        shift = _np.where(fetch, shift_i, shift_d)
+    fetch = acc[sel] == _FETCH_CODE
+    line_bytes = _np.where(fetch, 1 << shift_i, 1 << shift_d)
+    shift = _np.where(fetch, shift_i, shift_d)
     last = pa + (n - 1) * st
     nprobe = _np.where(st == 0, 1, _np.where(st > line_bytes, n, (last >> shift) - (pa >> shift) + 1))
     step = _np.where(st > line_bytes, st, line_bytes)
@@ -393,14 +396,11 @@ def _invariant_mask(c: _Chunks, lo: int, snap, mru_d, mru_i, shift_d, mask_d, sh
     addr = pa[rows] + intra * step[rows]
     sh = shift[rows]
     line = (addr >> sh) << sh
-    if data_only:
-        hit = mru_d[(addr >> shift_d) & mask_d] == line
-    else:
-        hit = _np.where(
-            fetch[rows],
-            mru_i[(addr >> shift_i) & mask_i],
-            mru_d[(addr >> shift_d) & mask_d],
-        ) == line
+    hit = _np.where(
+        fetch[rows],
+        mru_i[(addr >> shift_i) & mask_i],
+        mru_d[(addr >> shift_d) & mask_d],
+    ) == line
     all_hit = _np.add.reduceat(hit.astype(_np.int64), ends - nprobe) == nprobe
     mask[sel[~all_hit]] = False
     return mask
@@ -461,22 +461,62 @@ def evaluate_machine(hart, page_table, program, priv, asid: int = 0, extra_cycle
     ``(cycles, tlb_hits, pt_refs, checker_refs)`` — exactly what running
     the program's spans through :meth:`Hart.access_block` would have
     accumulated, with identical machine state (stats, cache/TLB residency
-    and recency, faults with exact scalar state).  The caller has already
-    established eligibility (vector+block mode, TLB inlining, no
-    per-reference/per-access hooks, numpy present).
+    and recency, faults with exact scalar state) and an identical
+    ``block_done`` event stream.  The caller has already established
+    eligibility (vector+block mode, TLB inlining, no per-reference/
+    per-access hooks, numpy present).
     """
     cols = _program_columns(program)
     if cols is None:
         return (0, 0, 0, 0)
-    s_va, s_stride, s_count, s_acc = cols
-    c = _decompose(s_va, s_stride, s_count, s_acc)
+    (s_va, s_stride, s_count, s_acc), arrays = cols
+    c = _decompose(*arrays)
+    # The replay reads the chunk columns only where a replayed range starts
+    # or stops; every span in between comes from the program's own lists.
+    chunk_span, chunk_start, span_first = c.span, c.start, c.span_first
     tlb = hart.tlb
     l1d = hart.hierarchy.l1d
     l1i = hart.hierarchy.l1i
     shift_d, mask_d = l1d._line_shift, l1d._set_mask
     shift_i, mask_i = l1i._line_shift, l1i._set_mask
+    run_spans = hart._run_spans
     run = hart.access_run
-    by_code = _ACCESS_BY_CODE
+    run_chunks = hart._access_chunks
+
+    def replay_part(span: int, first: int, stop: int) -> Tuple[int, int, int, int]:
+        """Span *span* from reference *first* up to chunk *stop* (exclusive).
+
+        The span has more than one reference (a singleton is one chunk,
+        replayed whole), so block mode priced this part inside one
+        ``access_run``: a lone reference left over still takes the fused
+        loop, not ``access_run``'s singleton shortcut.
+        """
+        stride = s_stride[span]
+        n = (int(chunk_start[stop]) if stop < span_first[span + 1] else s_count[span]) - first
+        return (run if n > 1 else run_chunks)(
+            page_table, s_va[span] + first * stride, stride, n, s_acc[span], priv, asid, extra_cycles
+        )
+
+    def replay(pos: int, end: int) -> Tuple[int, int, int, int]:
+        """Chunks ``[pos, end)`` with the calls block mode makes for them."""
+        parts = []
+        span = int(chunk_span[pos])
+        first = int(chunk_start[pos])
+        if first:  # resumes inside a span whose head was bulk-charged
+            stop = min(end, int(span_first[span + 1]))
+            parts.append(replay_part(span, first, stop))
+            if stop == end:
+                return parts[0]
+            span += 1
+        last = int(chunk_span[end - 1])
+        whole_end = last + 1 if span_first[last + 1] == end else last
+        if span < whole_end:
+            whole = slice(span, whole_end)
+            spans = zip(s_va[whole], s_stride[whole], s_count[whole], s_acc[whole])
+            parts.append(run_spans(page_table, spans, priv, asid, extra_cycles))
+        if whole_end == last:  # stops inside a span whose tail is bulk-charged
+            parts.append(replay_part(last, 0, end))
+        return tuple(map(sum, zip(*parts)))
 
     cycles = hits = pt_refs = checker_refs = 0
     pos = 0
@@ -488,13 +528,11 @@ def evaluate_machine(hart, page_table, program, priv, asid: int = 0, extra_cycle
         now = (tlb.generation, l1d.generation, l1i.generation)
         if mask is None or now != gens:
             if rounds >= _MAX_MASK_ROUNDS:
-                break  # span-wise replay below: block-path cost, no more sweeps
+                break  # edges churn the snapshots: replay the rest below
             rounds += 1
             gens = now
-            snap = _tlb_snapshot(tlb, asid, True)
-            mask = _invariant_mask(
-                c, pos, snap, _mru_snapshot(l1d), _mru_snapshot(l1i), shift_d, mask_d, shift_i, mask_i, False
-            )
+            snap = _tlb_snapshot(tlb, asid)
+            mask = _invariant_mask(c, pos, snap, _mru_snapshot(l1d), _mru_snapshot(l1i), shift_d, mask_d, shift_i, mask_i)
             mask_base = pos
         m = mask[pos - mask_base :]
         if m[0]:
@@ -503,138 +541,18 @@ def evaluate_machine(hart, page_table, program, priv, asid: int = 0, extra_cycle
             cycles += cyc
             hits += refs
             pos += k
-        else:
-            j = int(m.size if not m.any() else m.argmax())
-            end = pos + j
-            while pos < end:
-                # Replay each span's consecutive masked-out chunks as ONE
-                # access_run call: it re-chunks the range identically on
-                # live state, so the scalar core sees the same references
-                # — and the block hooks the same events — that block mode
-                # emits.  (Chunk-at-a-time replay would route a lone
-                # count==1 chunk through access_run's scalar shortcut and
-                # silently skip its block_done.)
-                span = int(c.span[pos])
-                stop = min(end, int(c.span_first[span + 1]))
-                n = int(c.start[stop - 1]) + int(c.count[stop - 1]) - int(c.start[pos])
-                cyc, h, p, k2 = run(
-                    page_table,
-                    int(c.va[pos]),
-                    int(c.stride[pos]),
-                    n,
-                    by_code[c.acc[pos]],
-                    priv,
-                    asid,
-                    extra_cycles,
-                )
-                cycles += cyc
-                hits += h
-                pt_refs += p
-                checker_refs += k2
-                pos = stop
-    while pos < c.total:  # mask-churn bailout: replay remaining spans whole
-        span = int(c.span[pos])
-        remaining = int(s_count[span]) - int(c.start[pos])
-        cyc, h, p, k2 = run(
-            page_table,
-            int(c.va[pos]),
-            int(s_stride[span]),
-            remaining,
-            by_code[c.acc[pos]],
-            priv,
-            asid,
-            extra_cycles,
-        )
+            continue
+        j = int(m.size if not m.any() else m.argmax())
+        cyc, h, p, k = replay(pos, pos + j)
         cycles += cyc
         hits += h
         pt_refs += p
-        checker_refs += k2
-        pos = int(c.span_first[span + 1])
+        checker_refs += k
+        pos += j
+    if pos < c.total:
+        cyc, h, p, k = replay(pos, c.total)
+        cycles += cyc
+        hits += h
+        pt_refs += p
+        checker_refs += k
     return cycles, hits, pt_refs, checker_refs
-
-
-# ---------------------------------------------------------------------------
-# Virtualized-path evaluation
-# ---------------------------------------------------------------------------
-
-
-def _charge_vm(vm, c: _Chunks, sl: slice) -> int:
-    """Bulk-charge an invariant chunk prefix on the VM path; returns cycles.
-
-    The virtualized hit regime is simpler: a combined-TLB L1 hit checks no
-    permissions, and every fused reference costs one combined-L1 hit plus
-    one L1D hit (the VM path never routes through the L1I).  The VM's
-    ``access_run`` fuses singleton runs too and has no zero-stride scalar
-    prefix, so every multi-or-not chunk reports one ``block_done``.
-    """
-    tlb = vm.combined_tlb
-    hier = vm.machine.hierarchy
-    engine = vm.engine
-    n = c.count[sl]
-    refs = int(n.sum())
-    cycles = tlb.charge_l1_hit_vpns((c.va[sl] >> PAGE_SHIFT).tolist(), 0, refs)
-    cycles += hier.bulk_mru(refs, 0)
-    vm._s_accesses += refs
-    vm._s_tlb_hits += refs
-    vm._s_cycles += cycles
-    if engine._block_hooks:
-        per = tlb._l1_lat + hier._l1d_lat
-        done = engine.block_done
-        by_code = _ACCESS_BY_CODE
-        for va, st, cnt, code in zip(c.va[sl].tolist(), c.stride[sl].tolist(), n.tolist(), c.acc[sl].tolist()):
-            done(va, st, cnt, by_code[code], cnt * per)
-    return cycles
-
-
-def evaluate_vm(vm, program) -> int:
-    """Price a whole span program on the virtualized path; returns cycles.
-
-    State-identical to running the program through
-    :meth:`VirtualMachine.access_block`: invariant chunks (combined-TLB
-    L1 residency + MRU lines, all data-side) are charged in bulk, and
-    everything else — combined misses, warm-but-not-MRU lines, negative
-    strides — replays through :meth:`VirtualMachine.access_run`.
-    """
-    cols = _program_columns(program)
-    if cols is None:
-        return 0
-    s_va, s_stride, s_count, s_acc = cols
-    c = _decompose(s_va, s_stride, s_count, s_acc)
-    tlb = vm.combined_tlb
-    l1d = vm.machine.hierarchy.l1d
-    shift_d, mask_d = l1d._line_shift, l1d._set_mask
-    run = vm.access_run
-    by_code = _ACCESS_BY_CODE
-
-    cycles = 0
-    pos = 0
-    mask = None
-    mask_base = 0
-    gens = None
-    rounds = 0
-    while pos < c.total:
-        now = (tlb.generation, l1d.generation)
-        if mask is None or now != gens:
-            if rounds >= _MAX_MASK_ROUNDS:
-                break
-            rounds += 1
-            gens = now
-            snap = _tlb_snapshot(tlb, 0, False)
-            mask = _invariant_mask(c, pos, snap, _mru_snapshot(l1d), None, shift_d, mask_d, 0, 0, True)
-            mask_base = pos
-        m = mask[pos - mask_base :]
-        if m[0]:
-            k = int(m.size if m.all() else m.argmin())
-            cycles += _charge_vm(vm, c, slice(pos, pos + k))
-            pos += k
-        else:
-            j = int(m.size if not m.any() else m.argmax())
-            for i in range(pos, pos + j):
-                cycles += run(int(c.va[i]), int(c.stride[i]), int(c.count[i]), by_code[c.acc[i]])
-            pos += j
-    while pos < c.total:  # mask-churn bailout
-        span = int(c.span[pos])
-        remaining = int(s_count[span]) - int(c.start[pos])
-        cycles += run(int(c.va[pos]), int(s_stride[span]), remaining, by_code[c.acc[pos]])
-        pos = int(c.span_first[span + 1])
-    return cycles

@@ -202,20 +202,17 @@ class TLB:
         self._s_l1_hits += refs
         return refs * self._l1_lat
 
-    def l1_residency(self, asid: int, inlined_only: bool):
+    def l1_residency(self, asid: int):
         """Snapshot L1-resident translations for *asid* (vector-mask input).
 
-        Yields ``(vpn, entry)`` without touching LRU order or counters.
-        With ``inlined_only`` the scan skips entries whose ``checker_perm``
-        is unresolved — exactly the entries the machine's fused fast path
-        would refuse.  Valid while :attr:`generation` is unchanged.
+        Yields ``(vpn, entry)`` without touching LRU order or counters,
+        skipping entries whose ``checker_perm`` is unresolved — exactly the
+        entries the machine's fused fast path would refuse.  Valid while
+        :attr:`generation` is unchanged.
         """
         for (entry_asid, vpn), entry in self._l1_map.items():
-            if entry_asid != asid:
-                continue
-            if inlined_only and entry.checker_perm is None:
-                continue
-            yield vpn, entry
+            if entry_asid == asid and entry.checker_perm is not None:
+                yield vpn, entry
 
     def fill(self, entry: TLBEntry) -> None:
         """Install a translation into both levels."""

@@ -471,14 +471,6 @@ class Hart:
                 if h:
                     hits += 1
             return cycles, hits, pt, ck
-        peek = self._tlb_peek
-        charge = self._tlb_charge
-        hier_run = self.hierarchy.access_run
-        is_fetch = access is AccessType.FETCH
-        block_hooks = engine._block_hooks
-        total = 0
-        hits = pt_refs = checker_refs = 0
-        i = 0
         if stride == 0:
             # Zero-stride run: one scalar access establishes everything the
             # rest of the run needs — the L1-TLB entry (inserted on miss),
@@ -488,27 +480,54 @@ class Hart:
             # whether or not the first reference hit.  The access type was
             # just allowed (core returned instead of faulting), so no perm
             # re-check is needed.
-            c, _pa, h, p, k = core(page_table, va, access, priv, asid, extra_cycles)
-            total += c
-            pt_refs += p
-            checker_refs += k
-            if h:
-                hits += 1
-            i = 1
-            entry = peek(va, asid)
+            total, _pa, h, pt_refs, checker_refs = core(page_table, va, access, priv, asid, extra_cycles)
+            hits = 1 if h else 0
+            entry = self._tlb_peek(va, asid)
+            n = count - 1
             if entry is not None and entry.checker_perm is not None:
-                n = count - 1
-                cyc = charge(va, asid, n) + n * extra_cycles
-                cyc += self.hierarchy.mru_run(n, is_fetch)
+                cyc = self._tlb_charge(va, asid, n) + n * extra_cycles
+                cyc += self.hierarchy.mru_run(n, access is AccessType.FETCH)
                 self._s_accesses += n
                 self._s_cycles += cyc
-                total += cyc
-                hits += n
-                if block_hooks:
+                if engine._block_hooks:
                     engine.block_done(va, 0, n, access, cyc)
-                return total, hits, pt_refs, checker_refs
+                return total + cyc, hits + n, pt_refs, checker_refs
             # Checker perm not inlined (scheme without per-page perms):
-            # fall through to the generic loop for the remaining references.
+            # the chunk loop takes the remaining references.
+            c, h, p, k = self._access_chunks(page_table, va, 0, n, access, priv, asid, extra_cycles)
+            return total + c, hits + h, pt_refs + p, checker_refs + k
+        return self._access_chunks(page_table, va, stride, count, access, priv, asid, extra_cycles)
+
+    def _access_chunks(
+        self,
+        page_table: PageTable,
+        va: int,
+        stride: int,
+        count: int,
+        access: AccessType,
+        priv: PrivilegeMode,
+        asid: int,
+        extra_cycles: int,
+    ) -> Tuple[int, int, int, int]:
+        """The fused per-page loop of :meth:`access_run`; same return tuple.
+
+        Callers have passed ``access_run``'s guard (block mode, TLB
+        inlining, no per-reference/per-access hooks, ``stride >= 0``).
+        There is no singleton shortcut here: a lone reference on an
+        L1-resident, allowed page is fused and reported as
+        ``block_done(n=1)``, exactly as it is inside a longer run — which
+        is what a span program replaying the tail of a multi-reference
+        span needs.
+        """
+        core = self._access_core
+        peek = self._tlb_peek
+        charge = self._tlb_charge
+        hier_run = self.hierarchy.access_run
+        is_fetch = access is AccessType.FETCH
+        engine = self.engine
+        block_hooks = engine._block_hooks
+        total = hits = pt_refs = checker_refs = 0
+        i = 0
         while i < count:
             cur = va + i * stride
             entry = peek(cur, asid)
@@ -607,10 +626,25 @@ class Hart:
         """Charge every run in *block*; returns summed access_run tuples."""
         if block.count >= self.vector_min_refs and self._vector_ok():
             return _vector.evaluate_machine(self, page_table, block, priv, asid, extra_cycles)
+        return self._run_spans(page_table, block.runs, priv, asid, extra_cycles)
+
+    def _run_spans(
+        self,
+        page_table: PageTable,
+        runs: Iterable[Tuple[int, int, int, AccessType]],
+        priv: PrivilegeMode,
+        asid: int,
+        extra_cycles: int,
+    ) -> Tuple[int, int, int, int]:
+        """Charge whole ``(va, stride, count, access)`` spans in order.
+
+        The block path's span loop, shared with the vector evaluator's
+        replay so both dispatch every span the same way.
+        """
         run = self.access_run
         core = self._access_core
         cycles = hits = pt_refs = checker_refs = 0
-        for va, stride, count, access in block.runs:
+        for va, stride, count, access in runs:
             if count == 1:
                 # Most workload blocks are dominated by singleton runs;
                 # dispatch them to the scalar core without the run wrapper.

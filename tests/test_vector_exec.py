@@ -11,6 +11,8 @@ end plus the snapshot-invalidation (generation counter) machinery.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import AccessFault, PageFault
 from repro.common.types import PAGE_SIZE, AccessType, Permission, PrivilegeMode
@@ -24,6 +26,8 @@ from repro.engine import (
     set_vector_mode,
     vector_mode_enabled,
 )
+from repro.engine import vector as vec
+from repro.soc.machine import Hart
 from repro.soc.system import System
 
 VA = 0x40_0000_0000
@@ -285,6 +289,115 @@ class TestHookDiscipline:
         assert block_spy.spans == []  # no fused spans under a ref hook
 
 
+#: Random span programs over a 96-page mapping: page-crossing, page-sized
+#: and zero strides, singletons, reads and writes.  The largest span ends
+#: below VA + 8 pages + 31 * 8200 bytes, inside the mapping.
+_span = st.tuples(
+    st.integers(0, 8 * PAGE_SIZE // 8 - 1).map(lambda word: VA + 8 * word),
+    st.sampled_from([0, 8, 24, 64, 72, 1000, 4096, 4104, 8200]),
+    st.integers(1, 32),
+    st.sampled_from([READ, WRITE]),
+)
+_programs = st.lists(st.lists(_span, min_size=1, max_size=24), min_size=1, max_size=3)
+
+
+class TestRandomProgramDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(programs=_programs)
+    def test_vector_matches_block(self, programs):
+        """Vector and block mode return the same tuples, leave the same
+        state and emit the same block_done stream, program after program.
+
+        Each program runs twice so the second pass meets warm TLB entries
+        and stale MRU lines: a multi-reference span whose last chunk is a
+        lone resident reference off the MRU line is priced by block mode's
+        fused loop (block_done with n=1), and the replay must do the same.
+        """
+        results = {}
+        for mode in ("vector", "block"):
+            system = build_system(mode)
+            space = system.new_address_space()
+            space.map(VA, 96 * PAGE_SIZE, Permission.rw())
+            spy = _BlockSpy()
+            system.machine.engine.install_hook(spy)
+            got = [run_spans(system, space, spans, mode) for spans in programs + programs]
+            system.machine.engine.remove_hook(spy)
+            results[mode] = (got, spy.spans, state(system))
+        assert results["vector"] == results["block"]
+
+
+class TestReplayCost:
+    """The replay makes no more machine calls than block mode.
+
+    Counted with wrappers, not timed: on a program that is all regime
+    edges the evaluator bulk-charges nothing, and every span must reach
+    the machine exactly as block mode sends it.
+    """
+
+    #: Cold TLB, every reference on a fresh page: no chunk is invariant.
+    EDGE_SPANS = (
+        [(VA + i * PAGE_SIZE + 64, 0, 1, READ) for i in range(12)]
+        + [(VA + 16 * PAGE_SIZE, PAGE_SIZE, 6, WRITE), (VA + 24 * PAGE_SIZE + 8, 0, 5, READ)]
+        + [(VA + (32 + i) * PAGE_SIZE, 0, 1, WRITE) for i in range(8)]
+    )
+
+    def _count_calls(self, monkeypatch, mode, spans):
+        if not HAVE_NUMPY:
+            pytest.skip("needs numpy to observe the evaluator")
+        calls = {"access_run": 0, "core": 0, "core_in_run": 0, "evaluate": 0, "bulk": 0}
+        depth = [0]
+        real_run, real_core = Hart.access_run, Hart._access_core
+        real_eval, real_charge = vec.evaluate_machine, vec._charge_machine
+
+        def access_run(self, *args, **kwargs):
+            calls["access_run"] += 1
+            depth[0] += 1
+            try:
+                return real_run(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def access_core(self, *args, **kwargs):
+            calls["core"] += 1
+            calls["core_in_run"] += depth[0] > 0
+            return real_core(self, *args, **kwargs)
+
+        def evaluate(*args, **kwargs):
+            calls["evaluate"] += 1
+            return real_eval(*args, **kwargs)
+
+        def charge(*args, **kwargs):
+            calls["bulk"] += 1
+            return real_charge(*args, **kwargs)
+
+        monkeypatch.setattr(Hart, "access_run", access_run)
+        monkeypatch.setattr(Hart, "_access_core", access_core)
+        monkeypatch.setattr(vec, "evaluate_machine", evaluate)
+        monkeypatch.setattr(vec, "_charge_machine", charge)
+        system = build_system(mode)
+        space = system.new_address_space()
+        space.map(VA, 48 * PAGE_SIZE, Permission.rw())
+        got = run_spans(system, space, spans, mode)
+        monkeypatch.undo()  # the next mode wraps the real methods again
+        return calls, got, state(system)
+
+    def test_edge_only_program_no_more_access_runs(self, monkeypatch):
+        vector, got_v, state_v = self._count_calls(monkeypatch, "vector", self.EDGE_SPANS)
+        block, got_b, state_b = self._count_calls(monkeypatch, "block", self.EDGE_SPANS)
+        assert vector["evaluate"] == 1 and vector["bulk"] == 0  # engaged, all edges
+        assert block["evaluate"] == 0
+        assert vector["access_run"] <= block["access_run"] == 2
+        assert vector["core"] == block["core"]
+        assert (got_v, state_v) == (got_b, state_b)
+
+    def test_singleton_spans_skip_access_run(self, monkeypatch):
+        singles = [span for span in self.EDGE_SPANS if span[2] == 1]
+        vector, _, _ = self._count_calls(monkeypatch, "vector", singles)
+        assert vector["evaluate"] == 1
+        assert vector["access_run"] == 0
+        assert vector["core"] == len(singles) and vector["core_in_run"] == 0
+
+
 class TestSnapshotInvalidation:
     def test_generation_counters_bump(self):
         system = build_system("vector")
@@ -419,33 +532,6 @@ class TestMultiHartParity:
                     for h in system.machine.harts
                 ],
             )
-        assert results["vector"] == results["block"] == results["scalar"]
-
-
-class TestVirtParity:
-    def _build(self, mode):
-        from repro.virt.nested import GUEST_DRAM_BASE, VirtualMachine
-
-        system = build_system(mode, kind="hpmp", mem_mib=256)
-        vm = VirtualMachine(system, guest_pages=128)
-        vm.guest_map_range(VA, GUEST_DRAM_BASE + 8 * PAGE_SIZE, 8 * PAGE_SIZE)
-        return system, vm
-
-    def test_vm_program_parity(self):
-        spans = [(VA, 8, 700, READ), (VA, 0, 9, READ), (VA + PAGE_SIZE, 64, 32, WRITE)]
-        results = {}
-        for mode in MODES:
-            system, vm = self._build(mode)
-            if mode == "scalar":
-                cycles = 0
-                for va, stride, count, access in spans:
-                    cycles += sum(vm.access(va + stride * i, access).cycles for i in range(count))
-            else:
-                prog = SpanProgram() if mode == "vector" else AccessBlock()
-                for va, stride, count, access in spans:
-                    prog.run(va, stride, count, access)
-                cycles = vm.access_program(prog)
-            results[mode] = (cycles, state(system), vm.stats.snapshot())
         assert results["vector"] == results["block"] == results["scalar"]
 
 
