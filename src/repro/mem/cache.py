@@ -7,11 +7,14 @@ The cache tracks which line addresses are resident (tags only — data lives in
 Replacement is true LRU by default; ``random`` is available for ablations.
 
 Hot-path engineering (see DESIGN.md "Hot path engineering"): each set is a
-flat Python list of line addresses ordered MRU-first — for the small
-associativities real caches use (2–16 ways), a C-level ``list.index`` scan
-plus a move-to-front beats an ``OrderedDict`` probe, and the fused
-``lookup_fill`` touches the set exactly once per reference.  Hit/miss/
-eviction counts accumulate in plain instance ints and are published into the
+flat Python list of line addresses ordered MRU-first.  Every lookup has the
+same shape: one compare against the MRU line at index 0, then a C-level
+``line in cset`` membership scan — for the small associativities real caches
+use (2–16 ways) this beats an ``OrderedDict`` probe, and unlike
+``list.index`` it never raises, so a miss costs no exception.  Only a hit off
+the MRU slot moves its line to the front; a miss into a full LRU set drops
+the victim inline with ``cset.pop()``.  Hit/miss/eviction counts accumulate
+in plain instance ints and are published into the
 :class:`~repro.common.stats.StatGroup` only when somebody reads it.
 """
 
@@ -40,13 +43,16 @@ class Cache:
     """
 
     def __init__(self, params: CacheParams, replacement: str = "lru", seed: int = 0):
+        # Validate the divisors before any arithmetic uses them.
+        if params.ways < 1:
+            raise ConfigurationError(f"{params.name}: ways must be >= 1, got {params.ways}")
+        if not is_pow2(params.line_bytes):
+            raise ConfigurationError(f"{params.name}: line size must be a power of two")
         if params.size_bytes % (params.ways * params.line_bytes) != 0:
             raise ConfigurationError(
                 f"{params.name}: size {params.size_bytes} not divisible by "
                 f"ways*line ({params.ways}*{params.line_bytes})"
             )
-        if not is_pow2(params.line_bytes):
-            raise ConfigurationError(f"{params.name}: line size must be a power of two")
         self.params = params
         self.num_sets = params.sets
         if not is_pow2(self.num_sets):
@@ -95,14 +101,14 @@ class Cache:
         return paddr >> self._line_shift << self._line_shift
 
     def _evict(self, cset: List[int]) -> int:
-        """Drop and return one resident line of a full set."""
-        if self._lru:
-            victim = cset.pop()
-        else:
-            # Preserve the historical draw: the OrderedDict implementation
-            # picked uniformly over LRU→MRU order, i.e. our list reversed.
-            victim = self._rng.choice(cset[::-1])
-            cset.remove(victim)
+        """Random replacement: drop and return one line of a full set.
+
+        Preserves the historical draw: the OrderedDict implementation picked
+        uniformly over LRU→MRU order, i.e. our list reversed.  (LRU victims
+        are the set's last element and are popped inline by the callers.)
+        """
+        victim = self._rng.choice(cset[::-1])
+        cset.remove(victim)
         self._evictions += 1
         return victim
 
@@ -122,19 +128,19 @@ class Cache:
             if cset[0] == line:  # MRU hit: the common case costs one compare
                 self._hits += 1
                 return True
-            try:
-                index = cset.index(line, 1)
-            except ValueError:
-                pass
-            else:
-                del cset[index]
+            if line in cset:
+                cset.remove(line)
                 cset.insert(0, line)
                 self._hits += 1
                 self.generation += 1
                 return True
+            if len(cset) >= self._ways:
+                if self._lru:
+                    cset.pop()
+                    self._evictions += 1
+                else:
+                    self._evict(cset)
         self._misses += 1
-        if len(cset) >= self._ways:
-            self._evict(cset)
         cset.insert(0, line)
         self.generation += 1
         return False
@@ -170,13 +176,11 @@ class Cache:
         cset = self._sets[shifted & self._set_mask]
         if not update_lru:
             return line in cset
-        try:
-            index = cset.index(line)
-        except ValueError:
+        if line not in cset:
             self._misses += 1
             return False
-        if index:
-            del cset[index]
+        if cset[0] != line:
+            cset.remove(line)
             cset.insert(0, line)
             self.generation += 1
         self._hits += 1
@@ -187,29 +191,28 @@ class Cache:
         shifted = paddr >> self._line_shift
         line = shifted << self._line_shift
         cset = self._sets[shifted & self._set_mask]
-        try:
-            index = cset.index(line)
-        except ValueError:
-            victim: Optional[int] = None
-            if len(cset) >= self._ways:
+        victim: Optional[int] = None
+        if line in cset:
+            if cset[0] == line:
+                return None
+            cset.remove(line)
+        elif len(cset) >= self._ways:
+            if self._lru:
+                victim = cset.pop()
+                self._evictions += 1
+            else:
                 victim = self._evict(cset)
-            cset.insert(0, line)
-            self.generation += 1
-            return victim
-        if index:
-            del cset[index]
-            cset.insert(0, line)
-            self.generation += 1
-        return None
+        cset.insert(0, line)
+        self.generation += 1
+        return victim
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line holding *paddr*; return True if it was resident."""
         line = self.line_addr(paddr)
         cset = self._sets[self._index(paddr)]
-        try:
-            cset.remove(line)
-        except ValueError:
+        if line not in cset:
             return False
+        cset.remove(line)
         self.generation += 1
         return True
 

@@ -25,7 +25,13 @@ from repro.workloads.harness import stable_hash
 
 class ReferenceCache:
     """OrderedDict model of the pre-flattening Cache, including stats and
-    victim selection (LRU order = dict order, random draws LRU->MRU)."""
+    victim selection (LRU order = dict order, random draws LRU->MRU).
+
+    ``generation`` counts the mutations that can change a set's MRU line:
+    fills (with or without an eviction), promotions of a non-MRU line,
+    invalidations of a resident line, and flushes.  Hits on the MRU line and
+    ``update_lru=False`` peeks leave it alone.
+    """
 
     def __init__(self, params: CacheParams, replacement: str = "lru", seed: int = 0):
         self.line = params.line_bytes
@@ -37,6 +43,7 @@ class ReferenceCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.generation = 0
 
     def _set(self, paddr):
         return self.sets[(paddr // self.line) % self.num_sets]
@@ -44,13 +51,18 @@ class ReferenceCache:
     def _line(self, paddr):
         return (paddr // self.line) * self.line
 
+    def _promote(self, cset, line):
+        if next(reversed(cset)) != line:
+            cset.move_to_end(line)
+            self.generation += 1
+
     def probe(self, paddr, update_lru=True):
         cset = self._set(paddr)
         line = self._line(paddr)
         if not update_lru:
             return line in cset
         if line in cset:
-            cset.move_to_end(line)
+            self._promote(cset, line)
             self.hits += 1
             return True
         self.misses += 1
@@ -60,7 +72,7 @@ class ReferenceCache:
         cset = self._set(paddr)
         line = self._line(paddr)
         if line in cset:
-            cset.move_to_end(line)
+            self._promote(cset, line)
             return None
         victim = None
         if len(cset) >= self.ways:
@@ -71,6 +83,7 @@ class ReferenceCache:
             del cset[victim]
             self.evictions += 1
         cset[line] = None
+        self.generation += 1
         return victim
 
     def lookup_fill(self, paddr):
@@ -80,11 +93,16 @@ class ReferenceCache:
         return False
 
     def invalidate(self, paddr):
-        self._set(paddr).pop(self._line(paddr), None)
+        cset = self._set(paddr)
+        line = self._line(paddr)
+        if line in cset:
+            del cset[line]
+            self.generation += 1
 
     def flush(self):
         for cset in self.sets:
             cset.clear()
+        self.generation += 1
 
     def resident(self):
         return sorted(line for cset in self.sets for line in cset)
@@ -92,13 +110,13 @@ class ReferenceCache:
 
 class TestCacheEquivalence:
     """The flat-list Cache is observationally identical to the OrderedDict
-    model: hits, victims, evictions and residency all match under random
-    probe / insert / lookup_fill / invalidate / flush streams."""
+    model: hits, victims, evictions, residency and ``generation`` bumps all
+    match under random probe / insert / lookup_fill / invalidate / flush
+    streams, checked after every operation."""
 
-    @pytest.mark.parametrize("replacement", ["lru", "random"])
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
-    def test_random_streams_match(self, replacement, seed):
-        params = CacheParams("t", 4096, ways=4, line_bytes=64)
+    @staticmethod
+    def _check_stream(replacement, seed, ways, span=1 << 16):
+        params = CacheParams("t", 4096, ways=ways, line_bytes=64)
         cache = Cache(params, replacement=replacement, seed=seed)
         reference = ReferenceCache(params, replacement=replacement, seed=seed)
         rng = random.Random(1000 + seed)
@@ -107,7 +125,7 @@ class TestCacheEquivalence:
                 ["lookup_fill", "probe", "peek", "insert", "invalidate", "flush"],
                 weights=[40, 20, 10, 20, 8, 2],
             )[0]
-            paddr = rng.randrange(0, 1 << 16)
+            paddr = rng.randrange(0, span)
             if op == "lookup_fill":
                 assert cache.lookup_fill(paddr) == reference.lookup_fill(paddr), step
             elif op == "probe":
@@ -123,12 +141,27 @@ class TestCacheEquivalence:
             else:
                 cache.flush()
                 reference.flush()
+            # The vector evaluator keys MRU snapshots on ``generation``: it
+            # must move on exactly the mutations the reference counts.
+            assert cache.generation == reference.generation, (step, op)
+            assert cache.stats["eviction"] == reference.evictions, (step, op)
         assert cache.resident_lines() == len(reference.resident())
         for line in reference.resident():
             assert cache.probe(line, update_lru=False), hex(line)
         assert cache.stats["hit"] == reference.hits
         assert cache.stats["miss"] == reference.misses
-        assert cache.stats["eviction"] == reference.evictions
+
+    @pytest.mark.parametrize("replacement", ["lru", "random"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_random_streams_match(self, replacement, seed):
+        self._check_stream(replacement, seed, ways=4)
+
+    @pytest.mark.parametrize("replacement", ["lru", "random"])
+    @pytest.mark.parametrize("ways", [1, 4, 16])
+    def test_random_streams_match_across_geometries(self, replacement, ways):
+        # A span of 4x the capacity keeps hits, promotions and evictions
+        # all frequent at every associativity.
+        self._check_stream(replacement, seed=5, ways=ways, span=4 * 4096)
 
     def test_fused_lookup_fill_equals_probe_insert(self):
         params = CacheParams("t", 2048, ways=2, line_bytes=64)

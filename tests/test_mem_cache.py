@@ -1,11 +1,14 @@
 """Unit tests for the cache and hierarchy timing models."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.params import CacheParams, rocket
+from repro.mem import cache as cache_module
 from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemoryHierarchy
 
@@ -72,6 +75,11 @@ class TestCache:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
             Cache(CacheParams("bad", 1000, ways=3, line_bytes=64))
+        # Zero or negative ways and non-power-of-two line sizes are rejected
+        # before the size modulo, so they never raise ZeroDivisionError.
+        for ways, line_bytes in [(0, 64), (-2, 64), (2, 0), (2, 48), (2, -64)]:
+            with pytest.raises(ConfigurationError):
+                Cache(CacheParams("bad", 1024, ways=ways, line_bytes=line_bytes))
 
     def test_bad_replacement_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -147,3 +155,79 @@ class TestMemoryHierarchy:
         h.access(0x8000_0000)
         assert h.stats["dram_refs"] == 1
         assert h.stats["refs"] == 2
+
+
+class TestMissPathCost:
+    """A cold reference raises nothing inside the cache model.
+
+    Observed with ``sys.settrace``, not timed: every frame that runs in
+    ``repro/mem/cache.py`` is traced, and a miss — including one that evicts
+    at every level — must not produce a single ``exception`` event.
+    """
+
+    @staticmethod
+    def _set_stride(h):
+        """A multiple of every level's set span: lines this far apart share
+        one set at L1, L2 and LLC, so a run of them fills and then evicts."""
+        return max(c.num_sets for c in (h.l1d, h.l2, h.llc)) * 64
+
+    @staticmethod
+    def _trace_cache_frames(action):
+        """Run *action*; return (called cache functions, exception events)."""
+        called, raised = set(), []
+
+        def local(frame, event, arg):
+            if event == "exception":
+                raised.append((frame.f_code.co_name, arg[0].__name__))
+            return local
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_filename != cache_module.__file__:
+                return None
+            called.add(frame.f_code.co_name)
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            action()
+        finally:
+            sys.settrace(previous)
+        return called, raised
+
+    @staticmethod
+    def _assert_every_level_evicted(h):
+        for cache in (h.l1d, h.l2, h.llc):
+            assert cache.stats["eviction"] > 0, cache.params.name
+
+    def test_access_cold_stream_raises_nothing(self):
+        h = MemoryHierarchy(rocket())
+        base, stride = 0x8000_0000, self._set_stride(h)
+        ways = max(c.params.ways for c in (h.l1d, h.l2, h.llc))
+
+        def cold_stream():
+            for i in range(2 * ways):  # same set everywhere: fills, then evicts
+                h.access(base + i * stride)
+            for i in range(256):  # distinct lines across many sets
+                h.access(base + 0x100_0000 + i * 64)
+
+        called, raised = self._trace_cache_frames(cold_stream)
+        assert "lookup_fill" in called
+        assert raised == []
+        self._assert_every_level_evicted(h)
+        assert h.stats["dram_refs"] == 2 * ways + 256
+
+    def test_access_run_cold_stream_raises_nothing(self):
+        h = MemoryHierarchy(rocket())
+        base, stride = 0x8000_0000, self._set_stride(h)
+        ways = max(c.params.ways for c in (h.l1d, h.l2, h.llc))
+
+        def cold_runs():
+            h.access_run(base, stride, 2 * ways)
+            h.access_run(base + 0x100_0000, 16, 4 * 256)  # 4 refs per line
+
+        called, raised = self._trace_cache_frames(cold_runs)
+        assert {"lookup_fill", "mru_hits"} <= called
+        assert raised == []
+        self._assert_every_level_evicted(h)
+        assert h.stats["dram_refs"] == 2 * ways + 256
