@@ -9,60 +9,12 @@ deliberately scattered order, which is how the fragmentation experiments
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Dict, List, Optional, Set
 
 from ..common.errors import MemoryError_
 from ..common.stats import Histogram
 from ..common.types import PAGE_SIZE, MemRegion
-
-
-class _LiveIndex:
-    """Fenwick tree over free-list slots: 1 = live frame, 0 = tombstone.
-
-    Lets the allocator answer "which slot holds the k-th live frame?" in
-    O(log n) without compacting the list first — the order-statistics query
-    behind :meth:`FrameAllocator.alloc_scattered`.  Capacity grows by
-    doubling when the list does; rebuilds are O(n) and amortized away.
-    """
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, flags: List[int]):
-        self.rebuild(flags)
-
-    def rebuild(self, flags: List[int], capacity: int = 0) -> None:
-        """Rebuild over *flags* (index = slot, value = 1 if live)."""
-        size = max(len(flags), capacity, 1)
-        tree = [0] * (size + 1)
-        tree[1 : len(flags) + 1] = flags
-        for i in range(1, size + 1):
-            j = i + (i & -i)
-            if j <= size:
-                tree[j] += tree[i]
-        self.size = size
-        self.tree = tree
-
-    def add(self, index: int, delta: int) -> None:
-        tree = self.tree
-        i = index + 1
-        size = self.size
-        while i <= size:
-            tree[i] += delta
-            i += i & -i
-
-    def select(self, k: int) -> int:
-        """Slot of the k-th (0-based) live frame in list order."""
-        tree = self.tree
-        pos = 0
-        remaining = k + 1
-        bit = 1 << (self.size.bit_length() - 1)
-        while bit:
-            nxt = pos + bit
-            if nxt <= self.size and tree[nxt] < remaining:
-                pos = nxt
-                remaining -= tree[nxt]
-            bit >>= 1
-        return pos  # 0-based slot (pos is 1-based minus the +1 offset)
 
 
 class FrameAllocator:
@@ -83,21 +35,29 @@ class FrameAllocator:
         if region.base % PAGE_SIZE or region.size % PAGE_SIZE:
             raise MemoryError_(f"allocator region {region} not page aligned")
         self.region = region
-        self._free: List[Optional[int]] = list(range(region.base, region.end, PAGE_SIZE))
+        # The free list is the source of truth for *order*: pop() yields
+        # ascending (or shuffled) frames, alloc_scattered draws a slot.
+        # Removals tombstone their slot with None instead of rebuilding the
+        # list; ``_holes`` keeps the tombstoned slots sorted, so "slot of
+        # the k-th live frame" is a bisect fixed point and costs nothing
+        # while there are none.  Every frame of the region is either free or
+        # in ``_allocated``, so membership needs no index of its own.
+        #
+        # A free frame's slot is ``_moved[frame]`` if recorded, else
+        # ``(_top - frame) // PAGE_SIZE`` — where an unscattered pool put
+        # it.  Slots are recorded only when a frame moves (scattered
+        # draws, free, compaction) or, for a scattered pool, all at once.
+        self._top = region.end - PAGE_SIZE
+        frames = range(region.base, region.end, PAGE_SIZE)
+        self._moved: Dict[int, int] = {}
         if scatter:
+            self._free: List[Optional[int]] = list(frames)
             random.Random(seed).shuffle(self._free)
-        self._free.reverse()  # pop() then yields ascending (or shuffled) order
-        # The free list is the source of truth for *order* (pop / scattered
-        # draws); the position index makes membership and mid-list removal
-        # O(1).  Removals tombstone their slot with None instead of rebuilding
-        # the list; tombstones are skipped on pop, and the Fenwick live index
-        # answers the order-statistics query alloc_scattered needs ("slot of
-        # the k-th live frame") without compacting first.  Both preserve the
-        # exact live order — and therefore the exact allocation sequence — of
-        # the compact-before-every-draw implementation this replaces.
-        self._pos: Dict[int, int] = {frame: i for i, frame in enumerate(self._free)}
-        self._tombstones = 0
-        self._live = _LiveIndex([1] * len(self._free))
+            self._free.reverse()
+            self._moved = {frame: i for i, frame in enumerate(self._free)}
+        else:
+            self._free = list(frames[::-1])
+        self._holes: List[int] = []
         # No free frame lies below the scan floor, so contiguous scans can
         # start there instead of at the region base.  Only free() lowers it.
         self._scan_floor = region.base
@@ -106,31 +66,46 @@ class FrameAllocator:
 
     @property
     def free_frames(self) -> int:
-        return len(self._pos)
+        return self.region.size // PAGE_SIZE - len(self._allocated)
 
     @property
     def allocated_frames(self) -> int:
         return len(self._allocated)
 
-    def _compact(self) -> None:
-        """Squeeze tombstones out of the free list (live order is preserved)."""
-        self._free = [frame for frame in self._free if frame is not None]
-        self._pos = {frame: i for i, frame in enumerate(self._free)}
-        self._tombstones = 0
-        self._live.rebuild([1] * len(self._free))
+    def _tombstone(self, base: int, end: int) -> None:
+        """Take the free frames ``[base, end)`` out of the free list."""
+        free = self._free
+        moved = self._moved
+        top = self._top
+        holes = self._holes
+        for frame in range(base, end, PAGE_SIZE):
+            slot = moved.get(frame)
+            if slot is None:
+                slot = (top - frame) // PAGE_SIZE
+            free[slot] = None
+            holes.append(slot)
+        holes.sort()
+        self._allocated.update(range(base, end, PAGE_SIZE))
+        if len(holes) * 2 > len(free):
+            # Compact: squeeze the tombstones out, preserving live order.
+            # Frames below the first hole keep their slots; the rest move.
+            start = holes[0]
+            tail = [frame for frame in free[start:] if frame is not None]
+            del free[start:]
+            free.extend(tail)
+            for slot, frame in enumerate(tail, start):
+                moved[frame] = slot
+            holes.clear()
 
     def alloc(self) -> int:
         """Allocate one frame; returns its base PA."""
-        pop = self._free.pop
         free = self._free
         while free:
-            frame = pop()
+            frame = free.pop()
             if frame is not None:
-                self._live.add(len(free), -1)
-                del self._pos[frame]
                 self._allocated.add(frame)
                 return frame
-            self._tombstones -= 1
+            self._holes.pop()  # the popped tombstone was the highest slot
         raise MemoryError_(f"frame allocator exhausted ({self.region})")
 
     def alloc_scattered(self) -> int:
@@ -142,31 +117,33 @@ class FrameAllocator:
 
         Equivalent to compacting and then drawing ``randrange(len(free))``,
         swapping the last free frame into the drawn slot: the draw is over
-        the live count either way, the k-th live frame is found through the
-        Fenwick index instead of by compacting, and the frame moved into the
-        vacated slot is the last *live* frame — so the live order (and every
-        future draw and pop) matches the compacting implementation exactly.
+        the live count either way, the k-th live frame's slot is the least
+        fixed point of ``slot = k + (holes at or below slot)``, and the frame
+        moved into the vacated slot is the last *live* frame — so the live
+        order (and every future draw and pop) matches the compacting
+        implementation exactly.
         """
-        live_count = len(self._pos)
+        live_count = self.free_frames
         if not live_count:
             raise MemoryError_(f"frame allocator exhausted ({self.region})")
         free = self._free
+        holes = self._holes
         index = self._rng.randrange(live_count)
-        slot = self._live.select(index) if self._tombstones else index
+        slot = index
+        if holes:
+            nxt = index + bisect_right(holes, slot)
+            while nxt != slot:
+                slot = nxt
+                nxt = index + bisect_right(holes, slot)
+            # Shed trailing tombstones so the swap source is the last live frame.
+            while free[-1] is None:
+                free.pop()
+                holes.pop()
         frame = free[slot]
-        # Shed trailing tombstones so the swap source is the last live frame
-        # (their live flags are already clear; popping only shortens the list).
-        while free[-1] is None:
-            free.pop()
-            self._tombstones -= 1
-        last = len(free) - 1
-        moved = free[last]
-        if slot != last:
+        moved = free.pop()
+        if moved != frame:
             free[slot] = moved
-            self._pos[moved] = slot
-        free.pop()
-        self._live.add(last, -1)
-        del self._pos[frame]
+            self._moved[moved] = slot
         self._allocated.add(frame)
         return frame
 
@@ -184,13 +161,13 @@ class FrameAllocator:
         if align_frames <= 0:
             raise MemoryError_("align_frames must be positive")
         step = align_frames * PAGE_SIZE
-        pos = self._pos
+        allocated = self._allocated
         # Advance the floor over frames that are (still) allocated; every
         # candidate base below the first free frame would fail on its first
         # frame anyway.
         floor = self._scan_floor
         region_end = self.region.end
-        while floor < region_end and floor not in pos:
+        while floor < region_end and floor in allocated:
             floor += PAGE_SIZE
         self._scan_floor = floor
         base = (floor + step - 1) // step * step
@@ -198,19 +175,10 @@ class FrameAllocator:
         while base <= limit:
             frame = base
             run_end = base + num_frames * PAGE_SIZE
-            while frame < run_end and frame in pos:
+            while frame < run_end and frame not in allocated:
                 frame += PAGE_SIZE
             if frame == run_end:
-                free = self._free
-                mark = self._live.add
-                for taken in range(base, run_end, PAGE_SIZE):
-                    slot = pos.pop(taken)
-                    free[slot] = None
-                    mark(slot, -1)
-                self._tombstones += num_frames
-                self._allocated.update(range(base, run_end, PAGE_SIZE))
-                if self._tombstones * 2 > len(free):
-                    self._compact()
+                self._tombstone(base, run_end)
                 return base
             # The run broke at `frame`: no base at or below it can work.
             base = (frame + PAGE_SIZE + step - 1) // step * step
@@ -221,63 +189,51 @@ class FrameAllocator:
         if frame not in self._allocated:
             raise MemoryError_(f"double free / foreign frame {frame:#x}")
         self._allocated.discard(frame)
-        slot = len(self._free)
-        self._pos[frame] = slot
+        self._moved[frame] = len(self._free)
         self._free.append(frame)
-        if slot >= self._live.size:
-            self._live.rebuild(
-                [1 if f is not None else 0 for f in self._free], capacity=2 * (slot + 1)
-            )
-        else:
-            self._live.add(slot, 1)
         if frame < self._scan_floor:
             self._scan_floor = frame
 
     def reserve(self, base: int, size: int) -> None:
-        """Remove ``[base, base+size)`` from the pool (e.g. monitor memory)."""
-        wanted = set(range(base, base + size, PAGE_SIZE))
-        missing = wanted - self._pos.keys()
-        if missing:
-            raise MemoryError_(f"reserve: {len(missing)} frames not free (first {min(missing):#x})")
-        free = self._free
-        mark = self._live.add
-        for frame in wanted:
-            slot = self._pos.pop(frame)
-            free[slot] = None
-            mark(slot, -1)
-        self._tombstones += len(wanted)
-        self._allocated |= wanted
-        if self._tombstones * 2 > len(free):
-            self._compact()
+        """Remove ``[base, base+size)`` from the pool (e.g. monitor memory).
+
+        *base* and *size* must be page aligned, *size* positive, the range
+        inside the region and every frame of it free.
+        """
+        if base % PAGE_SIZE:
+            raise MemoryError_(f"reserve: base {base:#x} not page aligned")
+        if size <= 0 or size % PAGE_SIZE:
+            raise MemoryError_(f"reserve: size {size:#x} not a positive multiple of the page size")
+        if not self.region.contains(base, size):
+            raise MemoryError_(f"reserve: [{base:#x}, {base + size:#x}) outside {self.region}")
+        taken = self._allocated.intersection(range(base, base + size, PAGE_SIZE))
+        if taken:
+            raise MemoryError_(f"reserve: {len(taken)} frames not free (first {min(taken):#x})")
+        self._tombstone(base, base + size)
 
     def fragmentation(self) -> Dict[str, object]:
         """Free-span metrics of the pool's current state (lazy, read-only).
 
-        Walks the free frames in address order into maximal contiguous
-        spans and summarizes them: a span-length histogram, the
-        largest-contiguous gauge, and a fragmentation percentage (the share
-        of free memory *outside* the largest span — 0.0 when all free
-        memory is one run, approaching 100 as it shatters).  Pure
-        observation: neither the free-list order, the tombstones, nor the
-        scatter RNG is touched, so interleaving calls with allocations can
-        never perturb the allocation sequence.  Cost is O(free log free) —
-        meant for sync points, not the per-alloc hot path.
+        Walks the gaps between allocated frames in address order — the
+        maximal contiguous free spans — and summarizes them: a span-length
+        histogram, the largest-contiguous gauge, and a fragmentation
+        percentage (the share of free memory *outside* the largest span —
+        0.0 when all free memory is one run, approaching 100 as it
+        shatters).  Pure observation: neither the free-list order, the
+        tombstones, nor the scatter RNG is touched, so interleaving calls
+        with allocations can never perturb the allocation sequence.  Cost is
+        O(allocated log allocated) — meant for sync points, not the
+        per-alloc hot path.
         """
-        frames = sorted(self._pos)
         spans = Histogram("free_span_frames")
-        run = 0
-        prev = None
-        for frame in frames:
-            if prev is not None and frame == prev + PAGE_SIZE:
-                run += 1
-            else:
-                if run:
-                    spans.observe(run)
-                run = 1
-            prev = frame
-        if run:
-            spans.observe(run)
-        free = len(frames)
+        start = self.region.base
+        for frame in sorted(self._allocated):
+            if frame > start:
+                spans.observe((frame - start) // PAGE_SIZE)
+            start = frame + PAGE_SIZE
+        if self.region.end > start:
+            spans.observe((self.region.end - start) // PAGE_SIZE)
+        free = self.free_frames
         largest = spans.max or 0
         return {
             "free_frames": free,

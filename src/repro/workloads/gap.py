@@ -31,27 +31,34 @@ COMPUTE_PER_EDGE = 3
 
 
 def rmat_edges(scale: int, degree: int = 8, seed: int = 0) -> List[Tuple[int, int]]:
-    """Generate an R-MAT (Kronecker) edge list: 2^scale vertices."""
-    n = 1 << scale
-    m = n * degree
-    rng = random.Random(seed)
+    """Generate an R-MAT (Kronecker) edge list: 2^scale vertices.
+
+    One ``random()`` draw per bit of each endpoint pair, low bit first; the
+    quadrant thresholds are the graph500 ``a``, ``a + b`` and ``a + b + c``.
+    """
+    m = (1 << scale) * degree
+    draw = random.Random(seed).random
     a, b, c = 0.57, 0.19, 0.19  # graph500 parameters
-    edges = []
+    ab = a + b
+    abc = a + b + c
+    masks = [1 << bit for bit in range(scale)]
+    edges: List[Tuple[int, int]] = []
+    append = edges.append
     for _ in range(m):
         u = v = 0
-        for bit in range(scale):
-            r = rng.random()
+        for mask in masks:
+            r = draw()
             if r < a:
-                pass
-            elif r < a + b:
-                v |= 1 << bit
-            elif r < a + b + c:
-                u |= 1 << bit
+                continue
+            if r < ab:
+                v |= mask
+            elif r < abc:
+                u |= mask
             else:
-                u |= 1 << bit
-                v |= 1 << bit
+                u |= mask
+                v |= mask
         if u != v:
-            edges.append((u, v))
+            append((u, v))
     return edges
 
 

@@ -128,6 +128,8 @@ class ArrayMap:
         """Allocate and map a new array."""
         if name in self._arrays:
             raise WorkloadError(f"array {name!r} already exists")
+        if length < 1 or elem_bytes < 1:
+            raise WorkloadError(f"array {name!r} needs length >= 1 and elem_bytes >= 1")
         size = length * elem_bytes
         size = (size + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
         if self._frames is not None:

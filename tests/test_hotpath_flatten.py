@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict
 
 import pytest
@@ -305,7 +306,7 @@ class TestPMPMatchTable:
 
 class ReferenceAllocator:
     """The pre-index FrameAllocator: rebuild-the-list semantics, kept as the
-    behavioural reference for the tombstone/position-index implementation."""
+    behavioural reference for the tombstone/slot-index implementation."""
 
     def __init__(self, region, scatter=False, seed=0):
         self.region = region
@@ -320,12 +321,25 @@ class ReferenceAllocator:
     def free_frames(self):
         return len(self._free)
 
+    @property
+    def allocated_frames(self):
+        return len(self._allocated)
+
+    def owns(self, frame):
+        if not self.region.contains(frame, PAGE_SIZE):
+            return None
+        return frame in self._allocated
+
     def alloc(self):
+        if not self._free:
+            raise MemoryError_("exhausted")
         frame = self._free.pop()
         self._allocated.add(frame)
         return frame
 
     def alloc_scattered(self):
+        if not self._free:
+            raise MemoryError_("exhausted")
         index = self._rng.randrange(len(self._free))
         self._free[index], self._free[-1] = self._free[-1], self._free[index]
         frame = self._free.pop()
@@ -350,54 +364,118 @@ class ReferenceAllocator:
 
     def reserve(self, base, size):
         wanted = set(range(base, base + size, PAGE_SIZE))
+        if not self.region.contains(base, size) or not wanted <= set(self._free):
+            raise MemoryError_("reserve: frames not free")
         self._free = [f for f in self._free if f not in wanted]
         self._allocated |= wanted
+
+    def free_spans(self):
+        """Lengths of the maximal runs of free frames, in address order."""
+        spans = []
+        prev = None
+        for frame in sorted(self._free):
+            if prev is not None and frame == prev + PAGE_SIZE:
+                spans[-1] += 1
+            else:
+                spans.append(1)
+            prev = frame
+        return spans
+
+
+def _outcome(call, *args):
+    """The call's result, or MemoryError_ if it raised one."""
+    try:
+        return call(*args)
+    except MemoryError_:
+        return MemoryError_
 
 
 class TestAllocatorEquivalence:
     """The indexed FrameAllocator hands out the exact same frame sequence as
     the rebuild-every-call reference, under interleaved alloc / scattered /
-    contiguous / free streams on both fresh and fragmented pools."""
+    contiguous / reserve / free streams on both fresh and fragmented pools,
+    and reports the same counts, ownership and free spans throughout."""
+
+    OPS = ["alloc", "scattered", "contiguous", "reserve", "free"]
 
     @pytest.mark.parametrize("scatter", [False, True])
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_random_streams_match(self, scatter, seed):
-        region = MemRegion(0x8000_0000, 512 * PAGE_SIZE)
+        for region_frames in (64, 512, 3000):
+            self._check_stream(region_frames, scatter, seed)
+
+    def _check_stream(self, region_frames, scatter, seed):
+        region = MemRegion(0x8000_0000, region_frames * PAGE_SIZE)
         fast = FrameAllocator(region, scatter=scatter, seed=seed)
         reference = ReferenceAllocator(region, scatter=scatter, seed=seed)
         rng = random.Random(2000 + seed)
+        # Ownership probes: sampled frames plus both neighbours of the region.
+        outside = [region.base - PAGE_SIZE, region.end]
         live = []
-        for step in range(1200):
-            op = rng.choices(
-                ["alloc", "scattered", "contiguous", "free"],
-                weights=[30, 20, 15, 25],
-            )[0]
-            try:
-                if op == "alloc":
-                    got = fast.alloc()
-                    assert got == reference.alloc(), step
-                    live.append((got, 1))
-                elif op == "scattered":
-                    got = fast.alloc_scattered()
-                    assert got == reference.alloc_scattered(), step
-                    live.append((got, 1))
-                elif op == "contiguous":
-                    frames = rng.choice([1, 2, 4, 8])
-                    align = rng.choice([1, 1, frames])
-                    got = fast.alloc_contiguous(frames, align_frames=align)
-                    assert got == reference.alloc_contiguous(frames, align_frames=align), step
-                    live.append((got, frames))
-                elif live:
+        for step in range(3000):
+            where = (region_frames, step)
+            op = rng.choices(self.OPS, weights=[30, 20, 15, 8, 25])[0]
+            if op == "free":
+                if live:
                     base, frames = live.pop(rng.randrange(len(live)))
                     for i in range(frames):
                         fast.free(base + i * PAGE_SIZE)
                         reference.free(base + i * PAGE_SIZE)
-            except MemoryError_:
-                continue
-            assert fast.free_frames == reference.free_frames, step
+            else:
+                if op == "alloc":
+                    args, frames = (), 1
+                    got, want = _outcome(fast.alloc), _outcome(reference.alloc)
+                elif op == "scattered":
+                    args, frames = (), 1
+                    got, want = _outcome(fast.alloc_scattered), _outcome(reference.alloc_scattered)
+                elif op == "contiguous":
+                    frames = rng.choice([1, 2, 4, 8])
+                    args = (frames, rng.choice([1, 1, frames]))
+                    got = _outcome(fast.alloc_contiguous, *args)
+                    want = _outcome(reference.alloc_contiguous, *args)
+                else:
+                    frames = rng.choice([1, 2, 5, 16])
+                    base = region.base + rng.randrange(region_frames) * PAGE_SIZE
+                    args = (base, frames * PAGE_SIZE)
+                    # reserve returns None on success; track the run by its base.
+                    got = _outcome(fast.reserve, *args) or base
+                    want = _outcome(reference.reserve, *args) or base
+                assert got == want, (where, op, args)
+                if got is not MemoryError_:
+                    live.append((got, frames))
+            assert fast.free_frames == reference.free_frames, where
+            assert fast.allocated_frames == reference.allocated_frames, where
+            for frame in outside + [region.base + rng.randrange(region_frames) * PAGE_SIZE for _ in range(4)]:
+                assert fast.owns(frame) == reference.owns(frame), (where, hex(frame))
+        spans = reference.free_spans()
+        frag = fast.fragmentation()
+        assert frag["free_frames"] == sum(spans)
+        assert frag["spans"] == len(spans)
+        assert frag["largest_free_frames"] == max(spans, default=0)
+        assert frag["span_hist"]["count"] == len(spans)
         # Drain both: the full remaining order must agree too.
         while reference.free_frames:
-            assert fast.alloc() == reference.alloc()
+            assert fast.alloc() == reference.alloc(), region_frames
+
+    def test_construction_builds_no_per_frame_index(self):
+        """A fresh pool holds its free list and nothing per frame beside it:
+        the traced peak of building a 1 GiB allocator stays within a small
+        margin of building the same free list alone (a frame->slot dict or
+        a per-slot tree would each add more than half again)."""
+        region = MemRegion(0x8000_0000, 1 << 30)
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                kept = build()
+                return tracemalloc.get_traced_memory()[1], kept
+            finally:
+                tracemalloc.stop()
+
+        list_peak, _ = traced_peak(lambda: list(range(region.end - PAGE_SIZE, region.base - 1, -PAGE_SIZE)))
+        alloc_peak, alloc = traced_peak(lambda: FrameAllocator(region))
+        assert alloc.free_frames == region.size // PAGE_SIZE
+        assert alloc_peak < 1.25 * list_peak, (alloc_peak, list_peak)
 
     def test_contiguous_reuses_lowest_freed_run(self):
         region = MemRegion(0x8000_0000, 64 * PAGE_SIZE)

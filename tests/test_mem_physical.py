@@ -158,6 +158,41 @@ class TestFrameAllocator:
         with pytest.raises(MemoryError_):
             alloc.reserve(frame, PAGE_SIZE)
 
+    @pytest.mark.parametrize(
+        "offset, size, message",
+        [
+            (0, 2 * PAGE_SIZE + 1, "size"),
+            (0, PAGE_SIZE - 1, "size"),
+            (0, 0, "size"),
+            (0, -PAGE_SIZE, "size"),
+            (1, PAGE_SIZE, "base"),
+            (PAGE_SIZE // 2, 2 * PAGE_SIZE, "base"),
+        ],
+    )
+    def test_reserve_bad_arguments_rejected(self, offset, size, message):
+        alloc = FrameAllocator(self.region())
+        free = alloc.free_frames
+        with pytest.raises(MemoryError_, match=message):
+            alloc.reserve(BASE + offset, size)
+        # Nothing was taken: the pool is untouched and still hands out BASE.
+        assert alloc.free_frames == free
+        assert alloc.alloc() == BASE
+
+    @pytest.mark.parametrize("base_frames, frames", [(-1, 2), (1023, 2), (1024, 1)])
+    def test_reserve_outside_region_rejected(self, base_frames, frames):
+        alloc = FrameAllocator(self.region())  # 1024 frames
+        with pytest.raises(MemoryError_, match="outside"):
+            alloc.reserve(BASE + base_frames * PAGE_SIZE, frames * PAGE_SIZE)
+        assert alloc.allocated_frames == 0
+
+    def test_reserve_partial_conflict_takes_nothing(self):
+        alloc = FrameAllocator(self.region())
+        alloc.reserve(BASE + 2 * PAGE_SIZE, PAGE_SIZE)
+        with pytest.raises(MemoryError_, match="not free"):
+            alloc.reserve(BASE, 4 * PAGE_SIZE)
+        assert alloc.allocated_frames == 1
+        assert [alloc.alloc() for _ in range(3)] == [BASE, BASE + PAGE_SIZE, BASE + 3 * PAGE_SIZE]
+
     def test_owns_outside_region(self):
         alloc = FrameAllocator(self.region())
         assert alloc.owns(BASE - PAGE_SIZE) is None

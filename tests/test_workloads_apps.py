@@ -1,6 +1,8 @@
 """Tests for the application workload models: GAP, RV8, FunctionBench,
 the image chain, and Redis."""
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import WorkloadError
@@ -18,6 +20,20 @@ class TestGraph:
 
     def test_rmat_no_self_loops(self):
         assert all(u != v for u, v in rmat_edges(6, 4, seed=1))
+
+    @pytest.mark.parametrize(
+        "scale, seed, digest",
+        [
+            (10, 0, "b99e2d42f88ccb643383504492725dd6fcd6537a99654713f9fc55346c54921e"),
+            (12, 0, "270ac50268ad2d9d6053bcb03e79346134aa38833503818f8c11819267acb3f7"),
+            (10, 5, "863c364fab3dce060c88a4a4daba9eb7e3605a0c44c2fa044f1a8a1cc0ef4315"),
+        ],
+    )
+    def test_rmat_stream_pinned(self, scale, seed, digest):
+        """The edge list is pinned byte for byte: any change to the draw
+        order or the quadrant threshold arithmetic changes every GAP row."""
+        edges = rmat_edges(scale, 8, seed)
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
     def test_csr_degrees_sum_to_edges(self):
         edges = rmat_edges(6, 4, seed=1)

@@ -45,6 +45,20 @@ class TestArrayMap:
         arrays.add("b", 512)
         assert arrays.va("b", 0) >= arrays.va("a", 511) + 8
 
+    @pytest.mark.parametrize("contiguous_pa", [True, False])
+    @pytest.mark.parametrize("length, elem_bytes", [(0, 8), (-5, 8), (10, 0), (10, -8)])
+    def test_non_positive_size_rejected(self, system, contiguous_pa, length, elem_bytes):
+        arrays = ArrayMap(system, contiguous_pa=contiguous_pa)
+        free_before = system.data_frames.free_frames
+        with pytest.raises(WorkloadError, match="length >= 1"):
+            arrays.add("y", length, elem_bytes)
+        # Nothing registered, nothing mapped: the name is still free.
+        assert system.data_frames.free_frames == free_before
+        with pytest.raises(KeyError):
+            arrays.va("y", 0)
+        arrays.add("y", 1)
+        assert arrays.read("y", 0) > 0
+
     def test_compute_accumulates(self, system):
         arrays = ArrayMap(system)
         arrays.compute(100)
